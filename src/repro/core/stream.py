@@ -22,7 +22,8 @@ def edges_to_df(spark: SparkSession, edges: np.ndarray) -> DataFrame:
             "dst": edges[:, 1].astype(np.int64),
         }
     )
-    return spark.createDataFrame(pdf)
+    # An explicit schema, because an empty stream has none to infer.
+    return spark.createDataFrame(pdf, "eid long, src long, dst long")
 
 
 def df_to_edges(edges_df: DataFrame) -> np.ndarray:
@@ -37,9 +38,7 @@ def degrees_df(edges_df: DataFrame) -> DataFrame:
     Parallel edges count once per occurrence (the stream model has no
     dedup pass), matching the sequential algorithms' degree counters.
     """
-    ends = edges_df.select(F.col("src").alias("v")).unionAll(
-        edges_df.select(F.col("dst").alias("v"))
-    )
+    ends = edges_df.select(F.explode(F.array("src", "dst")).alias("v"))
     return ends.groupBy("v").agg(F.count("*").alias("degree"))
 
 

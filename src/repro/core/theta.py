@@ -83,7 +83,8 @@ class CMSTheta:
 
     def query(self, ci: int, cj: int) -> int:
         code = pair_codes(np.array([ci]), np.array([cj]))[0]
-        if np.searchsorted(self._seen, code) < len(self._seen) and code in self._seen:
+        idx = np.searchsorted(self._seen, code)
+        if idx < len(self._seen) and self._seen[idx] == code:
             return int(self.cms.query(int(code)))
         return 0
 

@@ -40,11 +40,7 @@ def pagerank_spark(
     Degree-normalized push along directed edges with uniform handling of
     dangling mass, matching the numpy reference implementation.
     """
-    verts = (
-        edges_df.select(F.col("src").alias("v"))
-        .unionAll(edges_df.select(F.col("dst").alias("v")))
-        .distinct()
-    )
+    verts = edges_df.select(F.explode(F.array("src", "dst")).alias("v")).distinct()
     n = verts.count()
     out_deg = edges_df.groupBy(F.col("src").alias("v")).agg(
         F.count("*").alias("out_deg")

@@ -19,7 +19,14 @@ from repro.metrics import (
     replication_factor_np,
 )
 from repro.oracle import assert_equivalent
+from repro.baselines.api import PARTITIONERS
 from repro.baselines.hashing import random_partition
+
+
+def _assign_df(spark, part):
+    part = np.asarray(part, dtype=np.int64)
+    pdf = pd.DataFrame({"eid": np.arange(len(part), dtype=np.int64), "partition": part})
+    return spark.createDataFrame(pdf, "eid long, partition long")
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +115,74 @@ class TestReplication:
             pd.DataFrame({"eid": np.arange(len(edges_np)), "partition": 0})
         )
         assert replication_factor(edges, one) == pytest.approx(1.0)
+
+
+class TestReplicationExact:
+    """Spark RF == numpy RF bit for bit, on inputs where the exploded
+    ``(v, partition)`` ends repeat or pile onto one vertex."""
+
+    def _check(self, spark, edges_np, part, k):
+        edges_np = np.asarray(edges_np, dtype=np.int64)
+        rf = replication_factor(edges_to_df(spark, edges_np), _assign_df(spark, part))
+        assert rf == replication_factor_np(edges_np, np.asarray(part), k)
+        return rf
+
+    def test_self_loops(self, spark):
+        e = [[0, 0], [0, 1], [1, 1], [2, 2], [2, 2]]
+        # v0: {0, 1}; v1: {1, 2}; v2: {3, 0}
+        assert self._check(spark, e, [0, 1, 2, 3, 0], 4) == 2.0
+
+    def test_parallel_edges(self, spark):
+        e = [[0, 1], [0, 1], [1, 0], [0, 1], [2, 3]]
+        # v0, v1: {0, 1}; v2, v3: {2}
+        assert self._check(spark, e, [0, 0, 1, 1, 2], 4) == 6 / 4
+
+    def test_vertex_on_all_partitions(self, spark):
+        k = 16
+        e = np.stack([np.zeros(k, dtype=np.int64), np.arange(1, k + 1)], axis=1)
+        assert self._check(spark, e, np.arange(k), k) == (k + k) / (k + 1)
+
+    @pytest.mark.parametrize("name", ["S5P", "HDRF"])
+    def test_standin_assignment(self, spark, edges_np, name):
+        k = 16
+        self._check(spark, edges_np, PARTITIONERS[name](edges_np, k), k)
+
+
+class TestReplicationPlan:
+    def test_one_scan_one_vertex_shuffle(self, spark, edges, assign):
+        rf_query = replication_df(edges, assign).agg(
+            F.sum("n_replicas"), F.count("*")
+        )
+        plan = rf_query._jdf.queryExecution().executedPlan().toString()
+        # The test session disables broadcast joins, so the plan this
+        # pins is the sort-merge one, whose inputs are shuffled by eid.
+        assert "SortMergeJoin" in plan
+        assert "Union" not in plan
+        assert plan.count("hashpartitioning(v#") == 1
+
+
+class TestEmpty:
+    @pytest.fixture(scope="class")
+    def empty(self, spark):
+        e = np.zeros((0, 2), dtype=np.int64)
+        return edges_to_df(spark, e), _assign_df(spark, [])
+
+    def test_rf_spark(self, empty):
+        with pytest.raises(ValueError, match="empty assignment"):
+            replication_factor(*empty)
+
+    def test_rf_numpy(self):
+        e = np.zeros((0, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="empty assignment"):
+            replication_factor_np(e, np.zeros(0, dtype=np.int64), 4)
+
+    def test_balance_spark(self, empty):
+        with pytest.raises(ValueError, match="empty assignment"):
+            load_balance(empty[1], 4)
+
+    def test_balance_numpy(self):
+        with pytest.raises(ValueError, match="empty assignment"):
+            load_balance_np(np.zeros(0, dtype=np.int64), 4)
 
 
 class TestBalance:

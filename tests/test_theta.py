@@ -73,6 +73,28 @@ class TestCMSTheta:
         la, ha, _ = approx.pairs()
         assert set(zip(le, he)) == set(zip(la, ha))
 
+    def test_query_matches_pairs_listing(self):
+        g = np.random.default_rng(3)
+        ci = g.integers(0, 40, 500)
+        cj = g.integers(0, 40, 500)
+        keep = ci != cj
+        th = CMSTheta()
+        th.add_pairs(ci[keep], cj[keep])
+        for lo, hi, w in zip(*th.pairs()):
+            assert th.query(int(lo), int(hi)) == w
+            assert th.query(int(hi), int(lo)) == w
+
+    def test_query_unseen_pair_zero(self):
+        g = np.random.default_rng(4)
+        th = CMSTheta()
+        th.add_pairs(g.integers(0, 40, 500), g.integers(40, 80, 500))
+        # Both clusters are below 40, so the pair was never posted; the
+        # sketch alone would report the mass of the cells it hashes to.
+        code = int(pair_codes(np.array([3]), np.array([7]))[0])
+        assert th.cms.query(code) > 0
+        assert th.query(3, 7) == 0
+        assert th.query(7, 3) == 0
+
     def test_cms_memory_constant(self):
         # the count table never grows with the number of pairs
         th = CMSTheta(eps=0.1, nu=0.01)
