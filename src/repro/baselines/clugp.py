@@ -27,23 +27,16 @@ def clugp_cluster(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """CLUGP streaming clustering (local degrees + splitting)."""
     n_v = int(edges.max()) + 1 if len(edges) else 0
-    v2c = np.full(n_v, -1, dtype=np.int64)
-    # splitting mints an unbounded number of cluster ids → grow on demand
-    vol = np.zeros(2 * n_v + 4, dtype=np.float64)
-    ld = np.zeros(n_v, dtype=np.int64)
-    next_id = 0
-
-    def ensure(cap: int) -> None:
-        nonlocal vol
-        if cap >= len(vol):
-            vol = np.concatenate([vol, np.zeros(len(vol) + cap)])
-    for u, v in edges:
-        u = int(u); v = int(v)
-        ensure(next_id + 2)
+    # Plain lists; splitting mints an unbounded number of cluster ids,
+    # each as len(vol) with its volume appended.
+    v2c = [-1] * n_v
+    vol: list[float] = []
+    ld = [0] * n_v
+    for u, v in zip(edges[:, 0].tolist(), edges[:, 1].tolist()):
         if v2c[u] < 0:
-            v2c[u] = next_id; next_id += 1
+            v2c[u] = len(vol); vol.append(0.0)
         if v2c[v] < 0:
-            v2c[v] = next_id; next_id += 1
+            v2c[v] = len(vol); vol.append(0.0)
         ld[u] += 1; ld[v] += 1
         cu, cv = v2c[u], v2c[v]
         vol[cu] += 1; vol[cv] += 1
@@ -59,10 +52,9 @@ def clugp_cluster(
             # splitting: an overflowing vertex restarts in a new cluster
             for z in (u, v):
                 if vol[v2c[z]] >= kappa and ld[z] < kappa:
-                    v2c[z] = next_id
-                    vol[next_id] = ld[z]
-                    next_id += 1
-    return v2c, vol[:next_id], next_id
+                    v2c[z] = len(vol)
+                    vol.append(float(ld[z]))
+    return np.array(v2c, dtype=np.int64), np.array(vol, dtype=np.float64), len(vol)
 
 
 def clugp_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarray:

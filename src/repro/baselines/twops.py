@@ -25,16 +25,14 @@ def twops_cluster(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Phase-1 clustering; returns (v2c, cluster volumes)."""
     n_v = len(degrees)
-    v2c = np.full(n_v, -1, dtype=np.int64)
-    vol = np.zeros(2 * n_v + 2, dtype=np.float64)
-    next_id = 0
-    d = degrees
-    for u, v in edges:
-        u = int(u); v = int(v)
+    v2c = [-1] * n_v
+    vol: list[float] = []  # cluster ids are minted as len(vol)
+    d = degrees.astype(np.float64).tolist()
+    for u, v in zip(edges[:, 0].tolist(), edges[:, 1].tolist()):
         if v2c[u] < 0:
-            v2c[u] = next_id; vol[next_id] = d[u]; next_id += 1
+            v2c[u] = len(vol); vol.append(d[u])
         if v2c[v] < 0:
-            v2c[v] = next_id; vol[next_id] = d[v]; next_id += 1
+            v2c[v] = len(vol); vol.append(d[v])
         cu, cv = v2c[u], v2c[v]
         if cu == cv:
             continue
@@ -46,7 +44,7 @@ def twops_cluster(
         if vol[cj] + d[i] <= kappa:
             vol[cj] += d[i]; vol[ci] -= d[i]
             v2c[i] = cj
-    return v2c, vol[:next_id]
+    return np.array(v2c, dtype=np.int64), np.array(vol, dtype=np.float64)
 
 
 def pack_clusters(volumes: np.ndarray, k: int) -> np.ndarray:
@@ -70,23 +68,24 @@ def twops_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarra
     v2c, vol = twops_cluster(edges, kappa, degrees)
     c2p = pack_clusters(vol, k)
     cap = max_load(n_e, k, tau)
-    loads = np.zeros(k, dtype=np.int64)
-    out = np.empty(n_e, dtype=np.int64)
     src, dst = edges[:, 0], edges[:, 1]
-    for i in range(n_e):
-        u = int(src[i]); v = int(dst[i])
-        pu = int(c2p[v2c[u]]); pv = int(c2p[v2c[v]])
+    # prefer the partition of the lower-degree endpoint's cluster
+    u_first = degrees[src] <= degrees[dst]
+    loads = [0] * k
+    out = []
+    for pu, pv, uf in zip(
+        c2p[v2c[src]].tolist(), c2p[v2c[dst]].tolist(), u_first.tolist()
+    ):
         if pu == pv and loads[pu] < cap:
             p = pu
         else:
-            # prefer the partition of the lower-degree endpoint's cluster
-            first, second = (pu, pv) if degrees[u] <= degrees[v] else (pv, pu)
+            first, second = (pu, pv) if uf else (pv, pu)
             if loads[first] < cap:
                 p = first
             elif loads[second] < cap:
                 p = second
             else:
-                p = int(np.argmin(loads))
-        out[i] = p
+                p = min(range(k), key=loads.__getitem__)
+        out.append(p)
         loads[p] += 1
-    return out
+    return np.array(out, dtype=np.int64)

@@ -104,29 +104,30 @@ def skewness_aware_clustering(
 
     head_v = degrees > xi
     src, dst = edges[:, 0], edges[:, 1]
-    edge_is_head = head_v[src] & head_v[dst]
+    eh = head_v[src] & head_v[dst]
 
-    v2c_h = np.full(n_v, -1, dtype=np.int64)
-    v2c_t = np.full(n_v, -1, dtype=np.int64)
-    max_clusters = 2 * n_v + 2
-    vol = np.zeros(max_clusters, dtype=np.float64)
-    is_head_c = np.zeros(max_clusters, dtype=bool)
-    ld = np.zeros(n_v, dtype=np.int64)
-    next_id = 0
+    # Plain lists: the loop indexes one element at a time, which is far
+    # cheaper on a list than on a numpy array. Cluster ids are minted as
+    # len(vol), so vol and is_head_c grow by one entry per new cluster.
+    v2c_h = [-1] * n_v
+    v2c_t = [-1] * n_v
+    vol: list[float] = []
+    is_head_c: list[bool] = []
+    ld = [0] * n_v
+    d = degrees.astype(np.float64).tolist()
+    ldeg = ld if use_local_degrees else d
 
-    d = degrees
-    eh = edge_is_head
-    for idx in range(n_e):
-        u = int(src[idx]); v = int(dst[idx])
-        if eh[idx]:
+    for u, v, head in zip(src.tolist(), dst.tolist(), eh.tolist()):
+        if head:
             # --- head edge: global-degree-aware (lines 2-11) ---
-            if v2c_h[u] < 0:
-                v2c_h[u] = next_id; vol[next_id] = d[u]
-                is_head_c[next_id] = True; next_id += 1
-            if v2c_h[v] < 0:
-                v2c_h[v] = next_id; vol[next_id] = d[v]
-                is_head_c[next_id] = True; next_id += 1
-            cu = v2c_h[u]; cv = v2c_h[v]
+            cu = v2c_h[u]
+            if cu < 0:
+                cu = v2c_h[u] = len(vol)
+                vol.append(d[u]); is_head_c.append(True)
+            cv = v2c_h[v]
+            if cv < 0:
+                cv = v2c_h[v] = len(vol)
+                vol.append(d[v]); is_head_c.append(True)
             if cu != cv and vol[cu] < kappa and vol[cv] < kappa:
                 # i: endpoint whose cluster is lighter without it (line 6)
                 if vol[cu] - d[u] <= vol[cv] - d[v]:
@@ -138,15 +139,17 @@ def skewness_aware_clustering(
                     v2c_h[i] = cj
         else:
             # --- tail edge: local-degree-aware (lines 12-21) ---
-            if v2c_t[u] < 0:
-                v2c_t[u] = next_id; next_id += 1
-            if v2c_t[v] < 0:
-                v2c_t[v] = next_id; next_id += 1
+            cu = v2c_t[u]
+            if cu < 0:
+                cu = v2c_t[u] = len(vol)
+                vol.append(0.0); is_head_c.append(False)
+            cv = v2c_t[v]
+            if cv < 0:
+                cv = v2c_t[v] = len(vol)
+                vol.append(0.0); is_head_c.append(False)
             ld[u] += 1; ld[v] += 1
-            cu = v2c_t[u]; cv = v2c_t[v]
             vol[cu] += 1; vol[cv] += 1
             if cu != cv and vol[cu] < kappa and vol[cv] < kappa:
-                ldeg = ld if use_local_degrees else d
                 if vol[cu] <= vol[cv]:  # line 17: argmin volume
                     i, ci, cj = u, cu, cv
                 else:
@@ -154,6 +157,8 @@ def skewness_aware_clustering(
                 vol[cj] += ldeg[i]; vol[ci] -= ldeg[i]  # lines 19-21
                 v2c_t[i] = cj
 
+    v2c_h = np.array(v2c_h, dtype=np.int64)
+    v2c_t = np.array(v2c_t, dtype=np.int64)
     edge_cu = np.where(eh, v2c_h[src], v2c_t[src])
     edge_cv = np.where(eh, v2c_h[dst], v2c_t[dst])
     return ClusteringResult(
@@ -166,9 +171,9 @@ def skewness_aware_clustering(
         edge_is_head=eh,
         edge_cu=edge_cu.astype(np.int64),
         edge_cv=edge_cv.astype(np.int64),
-        n_clusters=next_id,
-        cluster_is_head=is_head_c[:next_id].copy(),
-        cluster_volume=vol[:next_id].copy(),
+        n_clusters=len(vol),
+        cluster_is_head=np.array(is_head_c, dtype=bool),
+        cluster_volume=np.array(vol, dtype=np.float64),
         edges_src=src.copy(),
         edges_dst=dst.copy(),
     )

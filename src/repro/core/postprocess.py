@@ -6,6 +6,14 @@ table otherwise) and goes to the less-loaded of the two; if both are
 over the cap L = ⌈τ|E|/k⌉, head edges scan partitions first→last and
 tail edges last→first for free space (the skew-aware overflow rule that
 concentrates head and tail overflow at opposite ends).
+
+The pass runs on Python lists, and the two overflow scans are monotone
+pointers: ``lo`` is the first partition with room and ``hi`` the last.
+Loads only grow, so a full partition stays full and the pointers only
+move inward — at most k steps each over the whole stream, so the work
+per edge is O(1) in k. Only when no partition has room (the cap can
+bind when τ < 1) does an edge spill to the least-loaded partition in
+O(k).
 """
 from __future__ import annotations
 
@@ -39,25 +47,26 @@ def assign_edges(
     n_e = len(edge_cu)
     if cap is None:
         cap = max_load(n_e, k, tau) if math.isfinite(tau) else n_e + 1
-    pu = c2p[edge_cu]
-    pv = c2p[edge_cv]
-    is_head = edge_is_head
-    loads = np.zeros(k, dtype=np.int64)
-    out = np.empty(n_e, dtype=np.int64)
-    for i in range(n_e):
-        a = pu[i]; b = pv[i]
+    loads = [0] * k
+    out = []
+    lo, hi = 0, k - 1  # first / last partition that may still have room
+    for a, b, head in zip(
+        c2p[edge_cu].tolist(), c2p[edge_cv].tolist(), edge_is_head.tolist()
+    ):
         if loads[a] >= cap and loads[b] >= cap:
             # overflow: skew-aware scan for any partition with space
-            rng = range(k) if is_head[i] else range(k - 1, -1, -1)
-            for p in rng:
-                if loads[p] < cap:
-                    break
+            while lo < k and loads[lo] >= cap:
+                lo += 1
+            while hi >= 0 and loads[hi] >= cap:
+                hi -= 1
+            if lo < k:
+                p = lo if head else hi
             else:  # cap can momentarily bind if τ·|E|/k < |E|/k; spill anyway
-                p = int(np.argmin(loads))
+                p = min(range(k), key=loads.__getitem__)
         elif loads[a] > loads[b]:
             p = b
         else:
             p = a
-        out[i] = p
+        out.append(p)
         loads[p] += 1
-    return out
+    return np.array(out, dtype=np.int64)

@@ -35,6 +35,7 @@ class S5PStats:
     game_rounds: int = 0
     game_converged: bool = False
     theta_bytes: int = 0
+    theta_seen_bytes: int = 0
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -80,6 +81,7 @@ def s5p_partition_np(
     cu, cv = clustering.cut_pairs
     theta.add_pairs(cu, cv)
     stats.theta_bytes = theta.nbytes
+    stats.theta_seen_bytes = theta.seen_nbytes
     stats.timings["theta"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

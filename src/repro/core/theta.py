@@ -64,6 +64,11 @@ class ExactTheta:
     def nbytes(self) -> int:
         return self._codes.nbytes + self._counts.nbytes
 
+    @property
+    def seen_nbytes(self) -> int:
+        """Bytes of the exact intersecting-pair set (one int64 code each)."""
+        return self._codes.nbytes
+
 
 class CMSTheta:
     """CMS-backed Θ store (paper default: ε=0.1, ν=0.01)."""
@@ -94,3 +99,8 @@ class CMSTheta:
         # shared by both stores; the paper's memory claim is about the
         # count table, which is what the CMS compresses.
         return self.cms.nbytes
+
+    @property
+    def seen_nbytes(self) -> int:
+        """Bytes of the exact seen-pair set that :attr:`nbytes` leaves out."""
+        return self._seen.nbytes

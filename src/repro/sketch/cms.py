@@ -36,42 +36,48 @@ class CountMinSketch:
         self.table = np.zeros((self.depth, self.width), dtype=np.int64)
         self.total = 0
 
-    def _rows_cols(self, keys: np.ndarray) -> np.ndarray:
-        """(depth, n) column indices for an array of int64 keys."""
-        k = keys.astype(np.uint64)[None, :]
-        with np.errstate(over="ignore"):
-            h = (self._a[:, None] * k + self._b[:, None]) % _PRIME
-        return (h % np.uint64(self.width)).astype(np.int64)
+    def _cols(self, keys: np.ndarray, r: int, out: np.ndarray) -> np.ndarray:
+        """Row-``r`` column indices of uint64 ``keys``, computed into ``out``.
+
+        One row at a time, in place: a batch needs the keys and one
+        N-sized buffer, not d×N temporaries.
+        """
+        np.multiply(keys, self._a[r], out=out)  # uint64 wraps mod 2^64
+        out += self._b[r]
+        out %= _PRIME
+        out %= np.uint64(self.width)
+        return out.view(np.int64)  # values < width: reinterpret, no copy
 
     def add(self, key: int, count: int = 1) -> None:
         """Insert ``count`` occurrences of ``key``."""
-        cols = self._rows_cols(np.array([key], dtype=np.int64))[:, 0]
-        self.table[np.arange(self.depth), cols] += count
-        self.total += count
+        self.add_batch(np.array([key], dtype=np.int64), np.array([count], dtype=np.int64))
 
     def add_batch(self, keys: np.ndarray, counts: np.ndarray | None = None) -> None:
         """Vectorized insert of many keys (with optional per-key counts)."""
         if len(keys) == 0:
             return
-        if counts is None:
-            counts = np.ones(len(keys), dtype=np.int64)
-        cols = self._rows_cols(keys)
+        keys = keys.astype(np.uint64)
+        buf = np.empty_like(keys)
         for r in range(self.depth):
-            np.add.at(self.table[r], cols[r], counts)
-        self.total += int(counts.sum())
+            cols = self._cols(keys, r, buf)
+            if counts is None:
+                self.table[r] += np.bincount(cols, minlength=self.width)
+            else:
+                np.add.at(self.table[r], cols, counts)
+        self.total += len(keys) if counts is None else int(counts.sum())
 
     def query(self, key: int) -> int:
         """Point estimate: never underestimates the true count."""
-        cols = self._rows_cols(np.array([key], dtype=np.int64))[:, 0]
-        return int(self.table[np.arange(self.depth), cols].min())
+        return int(self.query_batch(np.array([key], dtype=np.int64))[0])
 
     def query_batch(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized point estimates for an array of keys."""
-        if len(keys) == 0:
-            return np.zeros(0, dtype=np.int64)
-        cols = self._rows_cols(keys)
-        ests = self.table[np.arange(self.depth)[:, None], cols]
-        return ests.min(axis=0)
+        keys = keys.astype(np.uint64)
+        buf = np.empty_like(keys)
+        est = np.full(len(keys), np.iinfo(np.int64).max, dtype=np.int64)
+        for r in range(self.depth):
+            np.minimum(est, self.table[r][self._cols(keys, r, buf)], out=est)
+        return est
 
     @property
     def nbytes(self) -> int:

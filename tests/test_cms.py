@@ -2,7 +2,18 @@
 import numpy as np
 import pytest
 
-from repro.sketch.cms import CountMinSketch
+from repro.sketch.cms import _PRIME, CountMinSketch
+
+
+def _cols_oracle(cms, keys):
+    """(depth, n) columns, hashing every row at once (test oracle).
+
+    The sketch hashes one row at a time in place; this direct d×N
+    transcription of the same multiply-shift hash is what it must match.
+    """
+    k = keys.astype(np.uint64)[None, :]
+    h = (cms._a[:, None] * k + cms._b[:, None]) % _PRIME
+    return (h % np.uint64(cms.width)).astype(np.int64)
 
 
 class TestParameterization:
@@ -64,6 +75,21 @@ class TestCounting:
             b.add(int(k))
         np.testing.assert_array_equal(a.table, b.table)
         assert a.total == b.total == 6
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_matches_all_rows_oracle(self, eps):
+        g = np.random.default_rng(4)
+        # int64 pair codes, including ones with the top bits set
+        keys = np.concatenate([g.integers(0, 1 << 62, 3000), -g.integers(1, 1 << 40, 100)])
+        cms = CountMinSketch(eps=eps)
+        cms.add_batch(keys)
+        cols = _cols_oracle(cms, keys)
+        want = np.zeros_like(cms.table)
+        for r in range(cms.depth):
+            np.add.at(want[r], cols[r], 1)
+        np.testing.assert_array_equal(cms.table, want)
+        est = want[np.arange(cms.depth)[:, None], cols].min(axis=0)
+        np.testing.assert_array_equal(cms.query_batch(keys), est)
 
     def test_counts_accumulate(self):
         cms = CountMinSketch()

@@ -11,6 +11,55 @@ from repro.graphgen.catalog import standin_edges
 from repro.metrics import load_balance_np, partition_sizes_np
 
 
+def _scan_oracle(edge_cu, edge_cv, edge_is_head, c2p, k, *, tau=1.0, cap=None):
+    """Algorithm 3 with the literal O(k) overflow scan (test oracle).
+
+    ``assign_edges`` replaces the scans by monotone pointers; this is
+    the direct transcription they must agree with.
+    """
+    n_e = len(edge_cu)
+    if cap is None:
+        cap = max_load(n_e, k, tau) if np.isfinite(tau) else n_e + 1
+    pu = c2p[edge_cu]
+    pv = c2p[edge_cv]
+    loads = np.zeros(k, dtype=np.int64)
+    out = np.empty(n_e, dtype=np.int64)
+    for i in range(n_e):
+        a = pu[i]; b = pv[i]
+        if loads[a] >= cap and loads[b] >= cap:
+            rng = range(k) if edge_is_head[i] else range(k - 1, -1, -1)
+            for p in rng:
+                if loads[p] < cap:
+                    break
+            else:
+                p = int(np.argmin(loads))
+        elif loads[a] > loads[b]:
+            p = b
+        else:
+            p = a
+        out[i] = p
+        loads[p] += 1
+    return out
+
+
+def _random_stream(n_e, n_clusters, k, head, seed=0):
+    """Random per-edge clusters and c2p skewed onto few partitions.
+
+    ``head`` is True/False for an all-head/all-tail stream, or None for
+    a random mix. Clusters crowd onto the lowest partitions so that many
+    edges overflow.
+    """
+    g = np.random.default_rng(seed)
+    cu = g.integers(0, n_clusters, n_e)
+    cv = g.integers(0, n_clusters, n_e)
+    c2p = np.minimum(g.geometric(0.5, n_clusters) - 1, k - 1)
+    if head is None:
+        is_head = g.random(n_e) < 0.3
+    else:
+        is_head = np.full(n_e, head)
+    return cu, cv, is_head, c2p
+
+
 def _pipeline(name, k, tau=1.0):
     e = standin_edges(name, "test")
     cl = skewness_aware_clustering(e, k)
@@ -104,3 +153,55 @@ class TestAssignEdges:
         assert (part[:2] == 0).all()
         assert set(part[2:5]) <= {1, 2}
         assert 3 in set(part[5:])
+
+
+class TestOverflowOracle:
+    """``assign_edges`` (monotone pointers) equals the O(k) scan oracle."""
+
+    def _check(self, cu, cv, is_head, c2p, k, **kw):
+        got = assign_edges(cu, cv, is_head, c2p, k, **kw)
+        want = _scan_oracle(cu, cv, is_head, c2p, k, **kw)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("head", [None, True, False])
+    @pytest.mark.parametrize("k", [3, 7, 64])
+    def test_overflow_streams(self, head, k):
+        cu, cv, is_head, c2p = _random_stream(3000, 50, k, head, seed=k)
+        part = self._check(cu, cv, is_head, c2p, k)
+        overflow = (part != c2p[cu]) & (part != c2p[cv])
+        assert overflow.any()
+
+    @pytest.mark.parametrize("tau", [0.5, 0.9])
+    def test_spill_when_cap_binds(self, tau):
+        # τ < 1: every partition fills before the stream ends
+        cu, cv, is_head, c2p = _random_stream(1000, 30, 8, None, seed=1)
+        part = self._check(cu, cv, is_head, c2p, 8, tau=tau)
+        assert np.bincount(part, minlength=8).max() > max_load(1000, 8, tau)
+
+    @pytest.mark.parametrize("cap", [1, 3, 10])
+    def test_small_cap(self, cap):
+        cu, cv, is_head, c2p = _random_stream(200, 20, 6, None, seed=cap)
+        self._check(cu, cv, is_head, c2p, 6, cap=cap)
+
+    def test_pipeline_tau_below_one(self):
+        _, cl, gr, _ = _pipeline("LJ", 8)
+        self._check(cl.edge_cu, cl.edge_cv, cl.edge_is_head, gr.c2p, 8, tau=0.5)
+
+    def test_unbounded(self):
+        # S5P-B: tau=inf, no edge ever overflows
+        cu, cv, is_head, c2p = _random_stream(2000, 40, 16, None, seed=2)
+        part = self._check(cu, cv, is_head, c2p, 16, tau=np.inf)
+        assert ((part == c2p[cu]) | (part == c2p[cv])).all()
+
+    @pytest.mark.parametrize("head", [True, False])
+    def test_k_above_edge_count(self, head):
+        cu, cv, is_head, c2p = _random_stream(5, 3, 12, head, seed=3)
+        part = self._check(cu, cv, is_head, c2p, 12)
+        assert np.bincount(part, minlength=12).max() == 1  # cap is 1
+
+    def test_empty_stream(self):
+        empty = np.zeros(0, dtype=np.int64)
+        part = self._check(empty, empty, np.zeros(0, dtype=bool), np.array([0]), 4)
+        assert len(part) == 0

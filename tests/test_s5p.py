@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
+from repro.core.clustering import skewness_aware_clustering
 from repro.core.postprocess import max_load
 from repro.core.s5p import s5p_partition, s5p_partition_np
 from repro.core.stream import edges_to_df
+from repro.core.theta import CMSTheta, ExactTheta
 from repro.graphgen.catalog import standin_edges
 from repro.metrics import (
     load_balance,
@@ -48,6 +50,14 @@ class TestPipeline:
         assert st.game_converged
         assert st.delta > 0
         assert set(st.timings) == {"clustering", "theta", "game", "postprocess"}
+
+    @pytest.mark.parametrize("use_cms", [True, False])
+    def test_theta_seen_bytes(self, lj, use_cms):
+        _, st = s5p_partition_np(lj, 8, use_cms=use_cms)
+        cl = skewness_aware_clustering(lj, 8)
+        theta = CMSTheta() if use_cms else ExactTheta()
+        theta.add_pairs(*cl.cut_pairs)
+        assert st.theta_seen_bytes == len(theta.pairs()[0]) * 8 > 0
 
     def test_cms_close_to_exact(self, lj):
         # Figure 9 flavor: the CMS trades ~nothing in RF

@@ -103,6 +103,15 @@ class TestCMSTheta:
         th.add_pairs(g.integers(0, 1000, 5000), g.integers(1000, 2000, 5000))
         assert th.nbytes == base
 
+    @pytest.mark.parametrize("store", [CMSTheta, ExactTheta])
+    def test_seen_nbytes_is_pair_set(self, store):
+        th = store()
+        assert th.seen_nbytes == 0
+        g = np.random.default_rng(3)
+        for _ in range(2):
+            th.add_pairs(g.integers(0, 300, 2000), g.integers(300, 600, 2000))
+            assert th.seen_nbytes == len(th.pairs()[0]) * 8
+
     def test_exact_memory_grows(self):
         th = ExactTheta()
         g = np.random.default_rng(1)
