@@ -37,15 +37,14 @@ class ClusteringResult:
     edges_src: np.ndarray  # the stream's src column (arrival order)
     edges_dst: np.ndarray  # the stream's dst column
 
-    # Derived: each edge is *owned* by its src endpoint's cluster, which
-    # partitions E exactly (Σ|c_i| = |E|) as the cost functions require.
-    owner: np.ndarray = field(init=False)
+    # Derived: each edge is *owned* by its src endpoint's cluster
+    # (``edge_cu``), which partitions E exactly (Σ|c_i| = |E|) as the
+    # cost functions require.
     cluster_sizes: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.owner = self.edge_cu
         self.cluster_sizes = np.bincount(
-            self.owner, minlength=self.n_clusters
+            self.edge_cu, minlength=self.n_clusters
         ).astype(np.int64)
 
     @property

@@ -14,8 +14,9 @@ Batch parallelism (Section 4.4) is modeled faithfully: moves within a
 batch are computed against a frozen snapshot of loads and strategies,
 then applied together; ``batch_size=1`` recovers fully sequential best
 response (which carries the potential-function convergence guarantee).
-A Spark DataFrame implementation of one synchronous round lives in
-:mod:`repro.core.spark_game`.
+:func:`synchronous_round` applies every player's best response against
+one snapshot; it is the test oracle for "no player wants to move" at an
+equilibrium.
 """
 from __future__ import annotations
 
@@ -180,8 +181,8 @@ def synchronous_round(
     g: ClusterGraph, c2p: np.ndarray, k: int, delta: float
 ) -> np.ndarray:
     """One fully synchronous best-response round (all clusters, frozen
-    snapshot). Reference semantics for the Spark DataFrame round in
-    :mod:`repro.core.spark_game`."""
+    snapshot). At a pure Nash equilibrium it returns ``c2p`` unchanged,
+    which is how the tests check the game's fixed point."""
     loads = np.bincount(c2p, weights=g.sizes, minlength=k).astype(np.float64)
     out = c2p.copy()
     for c in range(g.n):

@@ -11,13 +11,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from .clustering import ClusteringResult, skewness_aware_clustering
 from .game import GameResult, stackelberg_game
 from .postprocess import assign_edges
-from .stream import df_to_edges
+from .stream import assign_to_df, df_to_edges
 from .theta import CMSTheta, ExactTheta
 
 
@@ -119,7 +118,4 @@ def s5p_partition(
     """Spark entry point: stream DataFrame in, assignment DataFrame out."""
     edges = df_to_edges(edges_df)
     part, stats = s5p_partition_np(edges, k, **kwargs)
-    assign = pd.DataFrame(
-        {"eid": np.arange(len(part), dtype=np.int64), "partition": part}
-    )
-    return spark.createDataFrame(assign), stats
+    return assign_to_df(spark, part), stats

@@ -3,7 +3,9 @@
 The stream is a Spark DataFrame ``(eid, src, dst)`` where ``eid`` is the
 arrival order. Bulk dataflow (degrees, counts) is expressed in the
 DataFrame API; the sequential single-pass algorithms consume the stream
-as ordered numpy arrays on the driver (DESIGN.md §6).
+as ordered numpy arrays on the driver (DESIGN.md §6), and their per-edge
+partition array returns to Spark as the assignment DataFrame
+``(eid, partition)``.
 """
 from __future__ import annotations
 
@@ -24,6 +26,19 @@ def edges_to_df(spark: SparkSession, edges: np.ndarray) -> DataFrame:
     )
     # An explicit schema, because an empty stream has none to infer.
     return spark.createDataFrame(pdf, "eid long, src long, dst long")
+
+
+def assign_to_df(spark: SparkSession, part: np.ndarray) -> DataFrame:
+    """The assignment DataFrame ``(eid, partition)`` of a per-edge
+    partition array, where ``eid`` is the arrival order."""
+    pdf = pd.DataFrame(
+        {
+            "eid": np.arange(len(part), dtype=np.int64),
+            "partition": np.asarray(part, dtype=np.int64),
+        }
+    )
+    # An explicit schema, because an empty assignment has none to infer.
+    return spark.createDataFrame(pdf, "eid long, partition long")
 
 
 def df_to_edges(edges_df: DataFrame) -> np.ndarray:
@@ -59,8 +74,3 @@ def relabel_dense(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids = np.unique(edges)
     pos = np.searchsorted(ids, edges)
     return pos.astype(np.int64), ids
-
-
-def n_vertices(edges: np.ndarray) -> int:
-    """Number of distinct vertices appearing in the stream."""
-    return len(np.unique(edges))

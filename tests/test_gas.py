@@ -1,10 +1,9 @@
 """Tests for the GAS/PowerGraph substrate (communication cost + PageRank)."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.baselines.api import run_partitioner_spark
-from repro.core.stream import edges_to_df
+from repro.core.stream import assign_to_df, edges_to_df
 from repro.gas.pagerank import communication_cost, pagerank_np, pagerank_spark
 from repro.graphgen.catalog import standin_edges
 from repro.metrics import replication_factor
@@ -70,7 +69,5 @@ class TestCommunication:
         assert communication_cost(edges, a_s5p) < communication_cost(edges, a_rnd)
 
     def test_single_partition_no_communication(self, spark, edges, edges_np):
-        one = spark.createDataFrame(
-            pd.DataFrame({"eid": np.arange(len(edges_np)), "partition": 0})
-        )
+        one = assign_to_df(spark, np.zeros(len(edges_np), dtype=np.int64))
         assert communication_cost(edges, one) == 0

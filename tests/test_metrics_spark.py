@@ -5,11 +5,10 @@ Every query-shaped result (degrees, RF, balance) is validated with
 caught as a wrong *result*, not just a crash.
 """
 import numpy as np
-import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.stream import degrees_df, df_to_edges, edges_to_df
+from repro.core.stream import assign_to_df, degrees_df, df_to_edges, edges_to_df
 from repro.graphgen.catalog import standin_edges
 from repro.metrics import (
     load_balance,
@@ -21,12 +20,6 @@ from repro.metrics import (
 from repro.oracle import assert_equivalent
 from repro.baselines.api import PARTITIONERS
 from repro.baselines.hashing import random_partition
-
-
-def _assign_df(spark, part):
-    part = np.asarray(part, dtype=np.int64)
-    pdf = pd.DataFrame({"eid": np.arange(len(part), dtype=np.int64), "partition": part})
-    return spark.createDataFrame(pdf, "eid long, partition long")
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +36,18 @@ def edges(spark, edges_np):
 
 @pytest.fixture(scope="module")
 def assign(spark, edges_np):
-    part = random_partition(edges_np, 8, seed=3)
-    pdf = pd.DataFrame({"eid": np.arange(len(part)), "partition": part})
-    df = spark.createDataFrame(pdf)
+    df = assign_to_df(spark, random_partition(edges_np, 8, seed=3))
     df.cache().count()
     return df
+
+
+_DEGREES_SQL = """
+    SELECT v, COUNT(*) AS degree FROM (
+        SELECT src AS v FROM edges
+        UNION ALL
+        SELECT dst AS v FROM edges
+    ) GROUP BY v
+"""
 
 
 class TestStream:
@@ -56,18 +56,12 @@ class TestStream:
         np.testing.assert_array_equal(back, edges_np)
 
     def test_degrees_oracle(self, edges):
-        deg = degrees_df(edges)
-        assert_equivalent(
-            deg,
-            """
-            SELECT v, COUNT(*) AS degree FROM (
-                SELECT src AS v FROM edges
-                UNION ALL
-                SELECT dst AS v FROM edges
-            ) GROUP BY v
-            """,
-            edges=edges,
-        )
+        assert_equivalent(degrees_df(edges), _DEGREES_SQL, edges=edges)
+
+    def test_oracle_catches_wrong_degrees(self, edges):
+        wrong = degrees_df(edges).withColumn("degree", F.col("degree") + 1)
+        with pytest.raises(AssertionError):
+            assert_equivalent(wrong, _DEGREES_SQL, edges=edges)
 
     def test_degrees_match_numpy(self, edges, edges_np):
         from repro.core.stream import degrees_np
@@ -111,9 +105,7 @@ class TestReplication:
         assert replication_factor(edges, assign) >= 1.0
 
     def test_single_partition_rf_is_one(self, spark, edges, edges_np):
-        one = spark.createDataFrame(
-            pd.DataFrame({"eid": np.arange(len(edges_np)), "partition": 0})
-        )
+        one = assign_to_df(spark, np.zeros(len(edges_np), dtype=np.int64))
         assert replication_factor(edges, one) == pytest.approx(1.0)
 
 
@@ -123,7 +115,7 @@ class TestReplicationExact:
 
     def _check(self, spark, edges_np, part, k):
         edges_np = np.asarray(edges_np, dtype=np.int64)
-        rf = replication_factor(edges_to_df(spark, edges_np), _assign_df(spark, part))
+        rf = replication_factor(edges_to_df(spark, edges_np), assign_to_df(spark, part))
         assert rf == replication_factor_np(edges_np, np.asarray(part), k)
         return rf
 
@@ -165,7 +157,7 @@ class TestEmpty:
     @pytest.fixture(scope="class")
     def empty(self, spark):
         e = np.zeros((0, 2), dtype=np.int64)
-        return edges_to_df(spark, e), _assign_df(spark, [])
+        return edges_to_df(spark, e), assign_to_df(spark, [])
 
     def test_rf_spark(self, empty):
         with pytest.raises(ValueError, match="empty assignment"):
@@ -196,5 +188,5 @@ class TestBalance:
         assert load_balance(assign, 8) >= 1.0
 
     def test_perfect_balance(self, spark):
-        pdf = pd.DataFrame({"eid": np.arange(80), "partition": np.arange(80) % 8})
-        assert load_balance(spark.createDataFrame(pdf), 8) == pytest.approx(1.0)
+        assign = assign_to_df(spark, np.arange(80) % 8)
+        assert load_balance(assign, 8) == pytest.approx(1.0)

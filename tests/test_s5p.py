@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.api import run_partitioner_spark
 from repro.core.clustering import skewness_aware_clustering
 from repro.core.postprocess import max_load
 from repro.core.s5p import s5p_partition, s5p_partition_np
@@ -118,3 +119,18 @@ class TestSparkEntry:
             replication_factor_np(lj, part, 8)
         )
         assert load_balance(assign, 8) == pytest.approx(load_balance_np(part, 8))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda spark, df: s5p_partition(spark, df, 4),
+            lambda spark, df: run_partitioner_spark(spark, df, "S5P", 4),
+            lambda spark, df: run_partitioner_spark(spark, df, "HDRF", 4),
+        ],
+        ids=["s5p_partition", "run_partitioner_spark-S5P", "run_partitioner_spark-HDRF"],
+    )
+    def test_empty_stream(self, spark, entry):
+        edges_df = edges_to_df(spark, np.zeros((0, 2), dtype=np.int64))
+        assign, _ = entry(spark, edges_df)
+        assert assign.schema.simpleString() == "struct<eid:bigint,partition:bigint>"
+        assert assign.count() == 0
