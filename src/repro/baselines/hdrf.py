@@ -11,14 +11,27 @@ load-balance term:
 
 As in the paper's experiments we use the improved 2PS-L-repo version's
 convention of exact degrees being unnecessary — partial degrees are
-accumulated online. Its per-edge cost is O(k), which is exactly the
-scalability weakness Table 3 / Figure 6 exhibit.
+accumulated online.
+
+Each edge scores at most four partitions. The partitions fall into
+four classes by which endpoints they hold replicas of: both, only u,
+only v, neither. Within a class the replica terms are constant and the
+balance term falls as the load grows — strictly, in floating point too,
+while |E| < 2^49 — so the lowest-index least-loaded partition of each
+class scores highest in it, and ties across classes go to the lowest
+index, as with ``argmax``. For the class "neither" it is enough to score
+``pmin``, the lowest-index least-loaded partition overall: when ``pmin``
+holds a replica, it outscores every partition of that class anyway.
+Finding the three replica winners scans R(u) ∪ R(v) (int bitmasks, set
+bits ascending), so an edge costs O(|R(u)| + |R(v)|), plus O(k) when
+``pmin`` itself takes the edge and is recomputed.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.postprocess import max_load
+from .greedy import least_loaded
 
 
 def hdrf_partition(
@@ -33,26 +46,35 @@ def hdrf_partition(
     n_v = int(edges.max()) + 1 if len(edges) else 0
     n_e = len(edges)
     cap = max_load(n_e, k, tau)
-    replicas = np.zeros((n_v, k), dtype=bool)
-    pdeg = np.zeros(n_v, dtype=np.int64)  # partial degrees
-    loads = np.zeros(k, dtype=np.int64)
-    out = np.empty(n_e, dtype=np.int64)
-    src, dst = edges[:, 0], edges[:, 1]
-    for i in range(n_e):
-        u = int(src[i]); v = int(dst[i])
+    replicas = [0] * n_v  # bit p set: the vertex has a replica on p
+    pdeg = [0] * n_v  # partial degrees
+    loads = [0] * k
+    max_l = 0
+    pmin = 0  # lowest-index least-loaded partition
+    out = []
+    for u, v in zip(edges[:, 0].tolist(), edges[:, 1].tolist()):
         pdeg[u] += 1; pdeg[v] += 1
         du, dv = pdeg[u], pdeg[v]
         theta_u = du / (du + dv)
-        theta_v = 1.0 - theta_u
-        g_u = np.where(replicas[u], 2.0 - theta_u, 0.0)
-        g_v = np.where(replicas[v], 2.0 - theta_v, 0.0)
-        max_l = loads.max(); min_l = loads.min()
-        bal = lam * (max_l - loads) / (eps + max_l - min_l)
-        score = g_u + g_v + bal
-        score[loads >= cap] = -np.inf  # same balance constraint as S5P
-        p = int(np.argmax(score))
-        out[i] = p
-        replicas[u, p] = True
-        replicas[v, p] = True
+        g_u = 2.0 - theta_u
+        g_v = 2.0 - (1.0 - theta_u)
+        ru, rv = replicas[u], replicas[v]
+        both = ru & rv
+        denom = eps + max_l - loads[pmin]
+        p, best = 0, -np.inf  # every partition full: argmax over -inf is 0
+        for mask, g in ((both, g_u + g_v), (ru ^ both, g_u), (rv ^ both, g_v), (1 << pmin, 0.0)):
+            q = least_loaded(mask, loads, cap, pmin)  # same cap as S5P
+            if q < 0:
+                continue
+            score = g + lam * (max_l - loads[q]) / denom
+            if score > best or (score == best and q < p):
+                p, best = q, score
+        out.append(p)
+        replicas[u] |= 1 << p
+        replicas[v] |= 1 << p
         loads[p] += 1
-    return out
+        if loads[p] > max_l:
+            max_l = loads[p]
+        if p == pmin:
+            pmin = min(range(k), key=loads.__getitem__)
+    return np.array(out, dtype=np.int64)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.clustering import cluster_capacity
+from repro.core.game import initial_assignment
 from repro.core.postprocess import max_load
 from repro.core.stream import degrees_np
 
@@ -47,16 +48,10 @@ def twops_cluster(
     return np.array(v2c, dtype=np.int64), np.array(vol, dtype=np.float64)
 
 
-def pack_clusters(volumes: np.ndarray, k: int) -> np.ndarray:
-    """First-fit-decreasing packing of clusters onto k partitions."""
-    order = np.argsort(-volumes, kind="stable")
-    loads = np.zeros(k)
-    c2p = np.zeros(len(volumes), dtype=np.int64)
-    for c in order:
-        p = int(np.argmin(loads))
-        c2p[c] = p
-        loads[p] += volumes[c]
-    return c2p
+#: First-fit-decreasing packing of clusters onto k partitions by volume:
+#: the game's greedy least-loaded initial assignment, which packs only
+#: non-empty clusters one at a time (most ids are empty after migration).
+pack_clusters = initial_assignment
 
 
 def twops_partition(edges: np.ndarray, k: int, *, tau: float = 1.0) -> np.ndarray:

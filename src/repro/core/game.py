@@ -82,15 +82,28 @@ def delta_max(cluster_graph: ClusterGraph, k: int) -> float:
     return k * float((cluster_graph.W + cluster_graph.sizes).sum()) / total**2
 
 
-def initial_assignment(sizes: np.ndarray, k: int) -> np.ndarray:
-    """Greedy least-loaded initial C2P (deterministic)."""
-    order = np.argsort(-sizes, kind="stable")
-    loads = np.zeros(k)
-    c2p = np.zeros(len(sizes), dtype=np.int64)
-    for c in order:
+def _pack_least_loaded(
+    c2p: np.ndarray, loads: np.ndarray, ids: np.ndarray, sizes: np.ndarray
+) -> None:
+    """Place ``ids`` by decreasing size (stable), each on the least-loaded
+    partition; updates ``c2p`` and ``loads`` in place.
+
+    Empty ids sort last and add nothing to the loads, so each lands on
+    the least-loaded partition left by the others: one vector assignment
+    replaces a loop over them (most minted ids are dead after migration).
+    """
+    live = ids[sizes[ids] > 0]
+    for c in live[np.argsort(-sizes[live], kind="stable")]:
         p = int(np.argmin(loads))
         c2p[c] = p
         loads[p] += sizes[c]
+    c2p[ids[sizes[ids] <= 0]] = np.argmin(loads)
+
+
+def initial_assignment(sizes: np.ndarray, k: int) -> np.ndarray:
+    """Greedy least-loaded initial C2P (deterministic; sizes ≥ 0)."""
+    c2p = np.zeros(len(sizes), dtype=np.int64)
+    _pack_least_loaded(c2p, np.zeros(k), np.arange(len(sizes)), sizes)
     return c2p
 
 
@@ -110,12 +123,12 @@ def stackelberg_initial_assignment(
     n = g.n
     c2p = np.full(n, -1, dtype=np.int64)
     loads = np.zeros(k)
-    heads = np.flatnonzero(cluster_is_head)
-    for c in heads[np.argsort(-g.sizes[heads], kind="stable")]:
-        p = int(np.argmin(loads))
-        c2p[c] = p
-        loads[p] += g.sizes[c]
-    tails = np.flatnonzero(~cluster_is_head)
+    _pack_least_loaded(c2p, loads, np.flatnonzero(cluster_is_head), g.sizes)
+    # A dead tail (empty, no Θ neighbours) is nobody's neighbour and
+    # falls back to least-loaded after every live tail has added its
+    # size: it takes the final argmin without a turn in the loop.
+    dead = (g.sizes <= 0) & (np.diff(g._ptr) == 0)
+    tails = np.flatnonzero(~cluster_is_head & ~dead)
     for c in tails[np.argsort(-g.sizes[tails], kind="stable")]:
         nbrs, w = g.neighbors(int(c))
         placed = c2p[nbrs] >= 0
@@ -126,6 +139,7 @@ def stackelberg_initial_assignment(
             p = int(np.argmin(loads))
         c2p[c] = p
         loads[p] += g.sizes[c]
+    c2p[~cluster_is_head & dead] = np.argmin(loads)
     return c2p
 
 

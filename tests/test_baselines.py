@@ -4,7 +4,9 @@ import pytest
 
 from repro.baselines.api import PARTITIONERS, run_partitioner
 from repro.baselines.gamebased import BudgetExceeded, rmgp_partition
+from repro.baselines.greedy import greedy_partition
 from repro.baselines.hashing import grid_partition
+from repro.baselines.hdrf import hdrf_partition
 from repro.baselines.twops import pack_clusters
 from repro.core.postprocess import max_load
 from repro.graphgen.catalog import standin_edges
@@ -12,6 +14,91 @@ from repro.metrics import load_balance_np, replication_factor_np
 
 STREAMING = ["Random", "DBH", "Grid", "Greedy", "HDRF", "2PS-L", "CLUGP", "S5P"]
 ALL = list(PARTITIONERS)
+
+
+def _hdrf_oracle(edges, k, *, lam=1.1, eps=1e-3, tau=1.0):
+    """HDRF scoring all k partitions per edge in numpy (test oracle).
+
+    ``hdrf_partition`` scores only the candidate partitions; this is the
+    direct transcription it must agree with.
+    """
+    n_v = int(edges.max()) + 1 if len(edges) else 0
+    n_e = len(edges)
+    cap = max_load(n_e, k, tau)
+    replicas = np.zeros((n_v, k), dtype=bool)
+    pdeg = np.zeros(n_v, dtype=np.int64)
+    loads = np.zeros(k, dtype=np.int64)
+    out = np.empty(n_e, dtype=np.int64)
+    src, dst = edges[:, 0], edges[:, 1]
+    for i in range(n_e):
+        u = int(src[i]); v = int(dst[i])
+        pdeg[u] += 1; pdeg[v] += 1
+        du, dv = pdeg[u], pdeg[v]
+        theta_u = du / (du + dv)
+        theta_v = 1.0 - theta_u
+        g_u = np.where(replicas[u], 2.0 - theta_u, 0.0)
+        g_v = np.where(replicas[v], 2.0 - theta_v, 0.0)
+        max_l = loads.max(); min_l = loads.min()
+        bal = lam * (max_l - loads) / (eps + max_l - min_l)
+        score = g_u + g_v + bal
+        score[loads >= cap] = -np.inf
+        p = int(np.argmax(score))
+        out[i] = p
+        replicas[u, p] = True
+        replicas[v, p] = True
+        loads[p] += 1
+    return out
+
+
+def _greedy_oracle(edges, k, *, tau=1.0):
+    """PowerGraph Greedy on boolean replica rows (test oracle)."""
+    n_v = int(edges.max()) + 1 if len(edges) else 0
+    n_e = len(edges)
+    cap = max_load(n_e, k, tau)
+    replicas = np.zeros((n_v, k), dtype=bool)
+    pdeg = np.zeros(n_v, dtype=np.int64)
+    loads = np.zeros(k, dtype=np.int64)
+    out = np.empty(n_e, dtype=np.int64)
+    src, dst = edges[:, 0], edges[:, 1]
+
+    def pick_least_loaded(mask):
+        cand = np.flatnonzero(mask & (loads < cap))
+        if len(cand) == 0:
+            cand = np.flatnonzero(loads < cap)
+        if len(cand) == 0:
+            return int(np.argmin(loads))
+        return int(cand[np.argmin(loads[cand])])
+
+    for i in range(n_e):
+        u = int(src[i]); v = int(dst[i])
+        pdeg[u] += 1; pdeg[v] += 1
+        ru, rv = replicas[u], replicas[v]
+        both = ru & rv
+        if both.any():
+            p = pick_least_loaded(both)
+        elif ru.any() and rv.any():
+            keep = u if pdeg[u] >= pdeg[v] else v
+            p = pick_least_loaded(replicas[keep])
+        elif ru.any() or rv.any():
+            p = pick_least_loaded(ru | rv)
+        else:
+            p = pick_least_loaded(np.ones(k, dtype=bool))
+        out[i] = p
+        replicas[u, p] = True
+        replicas[v, p] = True
+        loads[p] += 1
+    return out
+
+
+def _random_edges(n_e, n_v, seed):
+    """Skewed random stream with self-loops and parallel edges."""
+    g = np.random.default_rng(seed)
+    e = np.minimum(g.zipf(1.6, (n_e, 2)) - 1, n_v - 1)
+    loops = g.random(n_e) < 0.05
+    e[loops, 1] = e[loops, 0]
+    dup = np.flatnonzero(g.random(n_e) < 0.1)
+    e[dup[1:]] = e[dup[:-1]]  # repeat earlier edges later in the stream
+    return e.astype(np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +166,56 @@ class TestHashing:
             reps.setdefault(u, set()).add(p)
             reps.setdefault(v, set()).add(p)
         assert max(len(x) for x in reps.values()) <= 2 * s - 1
+
+
+class TestCandidateOracles:
+    """HDRF and Greedy (candidate partitions only) equal their numpy
+    all-k oracles edge for edge."""
+
+    FNS = {"HDRF": (hdrf_partition, _hdrf_oracle), "Greedy": (greedy_partition, _greedy_oracle)}
+
+    def _check(self, name, edges, k, **kw):
+        fn, oracle = self.FNS[name]
+        got = fn(edges, k, **kw)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, oracle(edges, k, **kw))
+        return got
+
+    @pytest.mark.parametrize("name", list(FNS))
+    @pytest.mark.parametrize("k", [2, 5, 16, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_streams(self, name, k, seed):
+        e = _random_edges(1500, 120, seed)
+        assert (e[:, 0] == e[:, 1]).any()
+        assert len(np.unique(e, axis=0)) < len(e)
+        self._check(name, e, k)
+
+    @pytest.mark.parametrize("name", list(FNS))
+    @pytest.mark.parametrize("tau", [0.5, 0.9])
+    def test_spill_when_cap_binds(self, name, tau):
+        # τ < 1: every partition fills; HDRF's all -inf argmax is 0
+        e = _random_edges(800, 60, 2)
+        part = self._check(name, e, 8, tau=tau)
+        cap = max_load(len(e), 8, tau)
+        sizes = np.bincount(part, minlength=8)
+        assert sizes.max() > cap
+        if name == "HDRF":
+            assert sizes[0] == len(e) - 7 * cap
+
+    @pytest.mark.parametrize("name", list(FNS))
+    def test_lj_stream(self, name, lj):
+        self._check(name, lj[:3000], 32)
+
+    @pytest.mark.parametrize("name", list(FNS))
+    def test_k_above_edge_count(self, name):
+        e = _random_edges(6, 5, 3)
+        part = self._check(name, e, 16)
+        assert np.bincount(part, minlength=16).max() == 1  # cap is 1
+
+    @pytest.mark.parametrize("name", list(FNS))
+    def test_empty_stream(self, name):
+        part = self._check(name, np.zeros((0, 2), dtype=np.int64), 4)
+        assert len(part) == 0
 
 
 class TestClusteringBaselines:

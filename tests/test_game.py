@@ -9,6 +9,7 @@ from repro.core.game import (
     initial_assignment,
     social_welfare,
     stackelberg_game,
+    stackelberg_initial_assignment,
     synchronous_round,
     total_individual_cost,
 )
@@ -73,7 +74,54 @@ class TestDelta:
         assert delta_max(g, 4) == 1.0
 
 
+def _init_oracle(g, cluster_is_head, k, *, one_stage):
+    """Both initial assignments with a turn for every cluster id,
+    dead ones included (test oracle)."""
+    c2p = np.full(g.n, -1, dtype=np.int64)
+    loads = np.zeros(k)
+    classes = [np.arange(g.n)] if one_stage else [
+        np.flatnonzero(cluster_is_head), np.flatnonzero(~cluster_is_head)
+    ]
+    for i, ids in enumerate(classes):
+        for c in ids[np.argsort(-g.sizes[ids], kind="stable")]:
+            nbrs, w = g.neighbors(int(c))
+            placed = c2p[nbrs] >= 0
+            if i == 1 and placed.any():
+                mass = np.bincount(c2p[nbrs[placed]], weights=w[placed], minlength=k)
+                p = int(np.argmax(mass))
+            else:
+                p = int(np.argmin(loads))
+            c2p[c] = p
+            loads[p] += g.sizes[c]
+    return c2p
+
+
+def _sparse_cluster_graph(n, seed):
+    """Most ids empty; some empty ids still have Θ neighbours."""
+    rng = np.random.default_rng(seed)
+    sizes = np.where(rng.random(n) < 0.3, rng.integers(1, 50, n), 0).astype(float)
+    lo = rng.integers(0, n, 3 * n)
+    hi = rng.integers(0, n, 3 * n)
+    keep = lo < hi
+    pairs = (lo[keep], hi[keep], rng.integers(1, 9, keep.sum()))
+    return ClusterGraph(n, sizes, pairs), rng.random(n) < 0.2
+
+
 class TestInitialAssignment:
+    @pytest.mark.parametrize("k", [3, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dead_ids_match_oracle(self, k, seed):
+        g, is_head = _sparse_cluster_graph(200, seed)
+        dead = (g.sizes == 0) & (g.W == 0)
+        assert dead.any() and ((g.sizes == 0) & (g.W > 0)).any()
+        np.testing.assert_array_equal(
+            initial_assignment(g.sizes, k), _init_oracle(g, is_head, k, one_stage=True)
+        )
+        np.testing.assert_array_equal(
+            stackelberg_initial_assignment(g, is_head, k),
+            _init_oracle(g, is_head, k, one_stage=False),
+        )
+
     def test_balanced(self):
         sizes = np.ones(100)
         c2p = initial_assignment(sizes, 4)

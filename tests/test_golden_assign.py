@@ -1,10 +1,15 @@
 """Golden-assignment gate: outputs pinned as sha256 digests.
 
-The digests were computed before the per-edge loops of clustering,
+The S5P, CLUGP and 2PS-L assignment digests and the vertex→cluster
+table digests were computed before the per-edge loops of clustering,
 postprocess, CLUGP and 2PS-L moved from numpy scalar indexing to Python
-lists. Any rewrite of those loops must reproduce every assignment and
-every vertex→cluster table bit for bit. Inputs are the catalog
-stand-ins LJ, IN and OK at the ``bench`` preset (40 k edges).
+lists. The HDRF and Greedy assignment digests and the game ``c2p``
+digests (S5P, S5P one-stage, CLUGP) were computed before HDRF and
+Greedy moved from scoring all k partitions per edge in numpy to scoring
+only candidate partitions, and before the game's initial assignments
+stopped looping over dead cluster ids. Any rewrite must reproduce every
+digest bit for bit. Inputs are the catalog stand-ins LJ, IN and OK at
+the ``bench`` preset (40 k edges).
 """
 import hashlib
 from functools import lru_cache
@@ -12,7 +17,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import repro.baselines.clugp as clugp
+import repro.core.s5p as s5p
 from repro.baselines.clugp import clugp_cluster, clugp_partition
+from repro.baselines.greedy import greedy_partition
+from repro.baselines.hdrf import hdrf_partition
 from repro.baselines.twops import twops_cluster, twops_partition
 from repro.core.clustering import cluster_capacity, skewness_aware_clustering
 from repro.core.s5p import s5p_partition_np
@@ -132,6 +141,101 @@ ASSIGNMENTS = {
         "7bf4a7de199371fc4a2f69fc81af1ca2482433026a985ec085ea32c8776af85e",
     ("2PS-L", "OK", 256):
         "025ee5507560c8b827615c9440a6cf94775731caea3d1c30c8fb1511c2d7ef85",
+    ("HDRF", "LJ", 8):
+        "f162f7e91807c0c1739134c7c8ba6f1647fd78fca4052f988fe33baf4fe67dd5",
+    ("HDRF", "LJ", 64):
+        "6a23a04167a0a9eb91ef60186d13a60fff3fd9aa5355580a8bba60f231333cab",
+    ("HDRF", "LJ", 256):
+        "4521e359a5e3b995c3d68772d7f92a78c02267506ade7f7081a6628780673818",
+    ("HDRF", "IN", 8):
+        "6054e9d77273a1b2cf476e049a58024514c35d3ee570689543b5b109fca39083",
+    ("HDRF", "IN", 64):
+        "48a9dcab1c2023d8575e563a2304a9fc6061538dfead87a4dbeb8880d45a616c",
+    ("HDRF", "IN", 256):
+        "7172a98e9801321625ca6cc1db23fc9cfbc8baa1c9232a31fe3dff35cd7fea00",
+    ("HDRF", "OK", 8):
+        "a959f27d68bb7393fe6994d394d8babc0f6f90173b0b5ecc44c52bf62abe7fb3",
+    ("HDRF", "OK", 64):
+        "2d26c5497da909042797b02dd45750e6572ce6deb1592cdf52b462ed036dd531",
+    ("HDRF", "OK", 256):
+        "386fc04d29dd502f5dab076a03ea648504f8c2d7f668b4a3e03ee013544ad180",
+    ("Greedy", "LJ", 8):
+        "eab3d9d79b1309bc10acd8972220f01406639725927a675159c3325096e09966",
+    ("Greedy", "LJ", 64):
+        "3cc6bbda2d6286b5ae3204028af440ce765ff36ffff4362e89254e8ef9b3a453",
+    ("Greedy", "LJ", 256):
+        "f739997c69b086973520b0c760e06a05292166b69c4691d8c40210ec66fb5131",
+    ("Greedy", "IN", 8):
+        "a6f525208eabfb5f075beb84722dae39bdfc587c781b78328bcbd4d64de879d5",
+    ("Greedy", "IN", 64):
+        "314578b3c709270eaed8ae069e24a90350a265a17dabbcc730c20c7d566ad3e2",
+    ("Greedy", "IN", 256):
+        "1d56397be60ceae531a2e7632520350eb8f0e5d4bb73051a5e327958496d9e15",
+    ("Greedy", "OK", 8):
+        "d7a70251555f74ea28ee897797bb502a565143b802b499e1354f5d6708ffd73b",
+    ("Greedy", "OK", 64):
+        "e8527fe4ef091874e9ebf4557d635b7a1e91e7657ad71717a6da3424d5cb6875",
+    ("Greedy", "OK", 256):
+        "f37deb2ee2bbe8011ded874e0b87b49f1a9d80251a30ebaf48845e6d7c36ccf1",
+}
+
+#: (game, graph, k) -> sha256 of the int64 cluster→partition map
+#: (``GameResult.c2p``, dead cluster ids included).
+GAMES = {
+    ("S5P", "LJ", 8):
+        "35ca602a22eff784fc16c855148ccee8500bad81143fe8ae564fa1a147094af4",
+    ("S5P", "LJ", 64):
+        "fce07d72d9f55a26853714f423d88396faa36f07c83e567b720e2fcdf28cf284",
+    ("S5P", "LJ", 256):
+        "85ebd5e44b0f585a542bb05af6126d6b7e37a55e537f3d76c7b4a30cafae5b32",
+    ("S5P", "IN", 8):
+        "0c069980df093824f12373435fb0827f5b2aded757b6a31fd58f015ba6e4008c",
+    ("S5P", "IN", 64):
+        "a9cfc79d17f21a63a92bb3aca1db825223e2ffcdccff891fa4a5ec2995446bd8",
+    ("S5P", "IN", 256):
+        "4704d8057ef2e8c66dabcda575e6426ac03d087de8b2dba1d4173f9ce160e645",
+    ("S5P", "OK", 8):
+        "a7dc44878607a52a97ebf54befb3db0c3ffbda1ee54938f694edb19f7e3e8a3e",
+    ("S5P", "OK", 64):
+        "870e32224dfccd432d91dabd52131ff57df3dee4f2747aad50efd4744e700e65",
+    ("S5P", "OK", 256):
+        "d4d7d3715bb0871786b402118d0d23121bb5d5a177bf1f19dd3351abb7ef552a",
+    ("S5P-one-stage", "LJ", 8):
+        "3a5401cf20b50bfc77419aee551ad540e6e2f9d3550d7e1adcfab359882e993c",
+    ("S5P-one-stage", "LJ", 64):
+        "944395ebebf5d93f201f849805f1b7f504ad2dd155ca8ff753c4fa8c89e3a6c3",
+    ("S5P-one-stage", "LJ", 256):
+        "1d43abb87175b098f6b2fb510d190dbf46e9a2914f02bfe7a88426632e0abc19",
+    ("S5P-one-stage", "IN", 8):
+        "35b3b9b131805b79b84ca597c6579c4ca32ebb8a2b74be15879c03bc28de7ab5",
+    ("S5P-one-stage", "IN", 64):
+        "be3eaa1e54494b2bedc60ed2bd4bcec8af393e2b5eeade2128c5eb4f34a84f56",
+    ("S5P-one-stage", "IN", 256):
+        "ad169fabedd18a35d617514e4dbda8cccafece347bbc4732aafb9624150ffeed",
+    ("S5P-one-stage", "OK", 8):
+        "fc05065957e377402afc64e0d89244b777f59340f80975298935fb116f6947cf",
+    ("S5P-one-stage", "OK", 64):
+        "b964910a04bbe98945646bee4da9ef28f7ce123bc827001706d717bf28051757",
+    ("S5P-one-stage", "OK", 256):
+        "c3dbe3a35895d1803eff89e459dba7bbab5e60a9b6dcc2a108030f7bcff03011",
+    ("CLUGP", "LJ", 8):
+        "b685f3f8b9f00a2d6ffa5eb11615465eb0fef8e9636f171be36837934c133267",
+    ("CLUGP", "LJ", 64):
+        "4a484cbb4ddc6b934af78082e2b354ee88a43c7efa04a12f6d2641a89f27713e",
+    ("CLUGP", "LJ", 256):
+        "898bce9285ec0cc4a961117ec46fd9c5a0e1ef2d1dec90fbf012938b590f5625",
+    ("CLUGP", "IN", 8):
+        "ddbd36968a42cb844e582514d9ef26c22f45d9c7fc26a643a45b510f7d84a7b1",
+    ("CLUGP", "IN", 64):
+        "a864c8a89d63433aee5265101a99583445bf5964e4355e610ffc74ad3c5362a3",
+    ("CLUGP", "IN", 256):
+        "dafa18db2f488a29b28c50a70ac3599bf28290bb63d2be51023ab53e7c29edc9",
+    ("CLUGP", "OK", 8):
+        "3a361b94b811df36a20fd2c575d94a41708559968ed5707b20dbfc49caca07e6",
+    ("CLUGP", "OK", 64):
+        "093551d8760edd1e1f16082fffc6a79f453b3d421f985454b73aa50f6986aa26",
+    ("CLUGP", "OK", 256):
+        "289d99f11bffe462f1d84df77785b5a89690c26c0bd952355811c9f681cb902e",
 }
 
 #: (table, graph, k) -> sha256 of the int64 vertex→cluster array.
@@ -227,6 +331,15 @@ PARTITIONERS = {
     "S5P-exact": lambda e, k: s5p_partition_np(e, k, use_cms=False)[0],
     "CLUGP": clugp_partition,
     "2PS-L": twops_partition,
+    "HDRF": hdrf_partition,
+    "Greedy": greedy_partition,
+}
+
+#: game -> (module whose ``stackelberg_game`` the pipeline calls, pipeline).
+GAME_RUNS = {
+    "S5P": (s5p, lambda e, k: s5p_partition_np(e, k)),
+    "S5P-one-stage": (s5p, lambda e, k: s5p_partition_np(e, k, one_stage=True)),
+    "CLUGP": (clugp, clugp_partition),
 }
 
 
@@ -236,6 +349,24 @@ PARTITIONERS = {
 def test_assignment(name, graph, k):
     part = PARTITIONERS[name](_edges(graph), k)
     assert _digest(part) == ASSIGNMENTS[(name, graph, k)]
+
+
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize("name", list(GAME_RUNS))
+def test_game_c2p(name, graph, k, monkeypatch):
+    module, run = GAME_RUNS[name]
+    results = []
+    game = module.stackelberg_game
+
+    def recording(*args, **kwargs):
+        results.append(game(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, "stackelberg_game", recording)
+    run(_edges(graph), k)
+    (result,) = results
+    assert _digest(result.c2p) == GAMES[(name, graph, k)]
 
 
 @pytest.mark.parametrize("k", KS)
